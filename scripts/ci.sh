@@ -9,8 +9,9 @@
 #
 # The TSan configuration (scripts/sanitize.sh thread) is not part of
 # the default gate — it roughly triples runtime — but is the tree that
-# exercises the exp pool sharding and the obs registry's lock-free
-# counters (Obs.ConcurrentRegistryHammer); run it when touching either.
+# exercises the exp pool's parallel grid cells (parallelFor) and the obs
+# registry's lock-free counters (Obs.ConcurrentRegistryHammer); run it
+# when touching either.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -41,6 +42,13 @@ ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS" \
 step "smoke gates: fuzz, constraint_fuzz, recovery, serve, fig8b, soak, constrained_soak, forecast"
 ctest --test-dir "$BUILD" --output-on-failure \
     -R '^(fuzz_smoke|constraint_fuzz_smoke|recovery_smoke|serve_smoke|fig8b_smoke|soak_smoke|constrained_soak_smoke|forecast_smoke)$'
+
+# The repository benchmark (perfbench/) compiles ../src in a CMake
+# project of its own and subclasses src types, so an API change in src
+# can break it without any ctest failure. Its smoke run builds it and
+# drives every workload at a tiny size.
+step "perfbench smoke: python3 perfbench/smoke.py"
+python3 perfbench/smoke.py
 
 # Million-node gate, opt-in: export FIG8B_1M=1 to run the 1M-node
 # Phoenix cells + the 100k incremental-replan demo (~minutes, GBs of

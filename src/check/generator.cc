@@ -159,7 +159,7 @@ generateCase(uint64_t seed, const GeneratorOptions &options)
         node_count > static_cast<size_t>(options.zoneFailureZones) &&
         rng.bernoulli(options.zoneFailureProbability);
     if (zone_local) {
-        // Fail exactly one capacity-index zone: every node with one
+        // Fail exactly one zone: every node with one
         // residue modulo the zone count. With zones > 1 at least one
         // other residue class survives, so the cluster never empties.
         const auto zones =

@@ -575,7 +575,7 @@ KubeCluster::startPod(const PodRef &ref,
                       std::optional<NodeId> pinned)
 {
     auto it = pods_.find(ref);
-    if (it == pods_.end())
+    if (it == pods_.end() || (pinned && *pinned >= nodes_.size()))
         return;
     Pod &pod = it->second;
     pod.scaledDown = false;

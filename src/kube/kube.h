@@ -212,7 +212,9 @@ class KubeCluster : public sim::FaultTarget
     /**
      * Ensure the pod is (re)started, optionally pinned to a node.
      * Clears scaled-down state; a running pod is left alone unless a
-     * different pin is given (which triggers a migration).
+     * different pin is given (which triggers a migration). A pin at or
+     * above the node count is ignored and the call does nothing, the
+     * same as an out-of-range migratePod target.
      */
     void startPod(const sim::PodRef &ref,
                   std::optional<sim::NodeId> pinned = std::nullopt);

@@ -1,5 +1,7 @@
 #include "daemon.h"
 
+#include <cmath>
+#include <cstdint>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -19,6 +21,23 @@ errorReply(const std::string &message)
 {
     return "{\"ok\":false,\"error\":" + util::jsonQuote(message) + "}";
 }
+
+/** True when @p x is an integer in [lo, hi]. Callers check before
+ * casting: converting an out-of-range (or NaN) double to an integer
+ * type is undefined behaviour. */
+bool
+isIntegerIn(double x, double lo, double hi)
+{
+    return x == std::floor(x) && x >= lo && x <= hi;
+}
+
+/** Most nodes one add-nodes call may add: the largest cluster the
+ * planner is tested at. */
+constexpr double kMaxAddNodes = 1000000.0;
+
+/** Largest app/ms/replica id, count or zone a verb accepts: they are
+ * stored in 32 bits. */
+constexpr double kMaxId = static_cast<double>(UINT32_MAX);
 
 /** Shift a curve's control points by @p offset seconds (serve-start
  * shapes are authored relative to the serving window). */
@@ -121,12 +140,14 @@ ServeDaemon::cmdLoadTestbed(const util::JsonValue &command)
 std::string
 ServeDaemon::cmdAddNodes(const util::JsonValue &command)
 {
-    const auto count =
-        static_cast<size_t>(command.numberAt("count", 1.0));
+    const double count = command.numberAt("count", 1.0);
     const double capacity = command.numberAt("capacity", 8.0);
-    if (count == 0 || capacity <= 0.0)
-        return errorReply("add-nodes needs count >= 1, capacity > 0");
-    for (size_t n = 0; n < count; ++n)
+    if (!isIntegerIn(count, 1.0, kMaxAddNodes) ||
+        !(capacity > 0.0 && std::isfinite(capacity)))
+        return errorReply("add-nodes needs an integer count in [1, " +
+                          util::jsonNumber(kMaxAddNodes) +
+                          "] and a finite capacity > 0");
+    for (size_t n = 0; n < static_cast<size_t>(count); ++n)
         cluster_.addNode(capacity);
     std::ostringstream out;
     out << "{\"ok\":true,\"nodes\":" << cluster_.nodeCount() << "}";
@@ -204,6 +225,10 @@ ServeDaemon::cmdStartController(const util::JsonValue &command)
         return errorReply("unknown scheme " + util::jsonQuote(scheme) +
                           " (PhoenixCost | PhoenixFair)");
     }
+    const util::JsonValue *zones = command.field("zones");
+    if (zones &&
+        !(zones->isNumber() && isIntegerIn(zones->number, 0.0, kMaxId)))
+        return errorReply("start-controller needs an integer 'zones'");
     controller_ = std::make_unique<core::PhoenixController>(
         events_, cluster_,
         std::make_unique<core::PhoenixScheme>(objective),
@@ -337,6 +362,11 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
         return errorReply(
             "inject-scenario needs a non-empty 'steps' array");
 
+    // Every number cast to an integer below is range-checked first.
+    // Node ids must name an existing node; the cluster only grows, so
+    // they stay valid until the step fires.
+    const double last_node =
+        static_cast<double>(cluster_.nodeCount()) - 1.0;
     sim::Scenario scenario;
     for (const util::JsonValue &step : steps->items) {
         if (!step.isObject())
@@ -348,33 +378,41 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
             if (!nodes || !nodes->isArray())
                 return errorReply(kind + " needs a 'nodes' array");
             std::vector<sim::NodeId> ids;
-            for (const util::JsonValue &node : nodes->items)
-                ids.push_back(
-                    static_cast<sim::NodeId>(node.number));
+            for (const util::JsonValue &node : nodes->items) {
+                if (!node.isNumber() ||
+                    !isIntegerIn(node.number, 0.0, last_node))
+                    return errorReply(kind + " needs integer node ids "
+                                             "below the node count");
+                ids.push_back(static_cast<sim::NodeId>(node.number));
+            }
             if (kind == "fail-nodes")
                 scenario.failNodes(at, std::move(ids));
             else
                 scenario.recoverNodes(at, std::move(ids));
-        } else if (kind == "fail-count") {
-            scenario.failCount(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)));
+        } else if (kind == "fail-count" || kind == "rolling-fail") {
+            const double count = step.numberAt("count", 1.0);
+            if (!isIntegerIn(count, 0.0, kMaxId))
+                return errorReply(kind + " needs an integer 'count'");
+            if (kind == "fail-count")
+                scenario.failCount(at, static_cast<size_t>(count));
+            else
+                scenario.rollingFail(at, static_cast<size_t>(count),
+                                     step.numberAt("interval", 60.0));
         } else if (kind == "fail-capacity-fraction") {
             scenario.failCapacityFraction(
                 at, step.numberAt("fraction", 0.0));
         } else if (kind == "fail-zone") {
-            scenario.failZone(
-                at, static_cast<size_t>(step.numberAt("zone", 0.0)));
-        } else if (kind == "rolling-fail") {
-            scenario.rollingFail(
-                at,
-                static_cast<size_t>(step.numberAt("count", 1.0)),
-                step.numberAt("interval", 60.0));
+            const double zone = step.numberAt("zone", 0.0);
+            if (!isIntegerIn(zone, 0.0, kMaxId))
+                return errorReply("fail-zone needs an integer 'zone'");
+            scenario.failZone(at, static_cast<size_t>(zone));
         } else if (kind == "flap") {
-            scenario.flapKubelet(
-                at,
-                static_cast<sim::NodeId>(step.numberAt("node", 0.0)),
-                step.numberAt("downtime", 30.0));
+            const double node = step.numberAt("node", 0.0);
+            if (!isIntegerIn(node, 0.0, last_node))
+                return errorReply("flap needs an integer 'node' below "
+                                  "the node count");
+            scenario.flapKubelet(at, static_cast<sim::NodeId>(node),
+                                 step.numberAt("downtime", 30.0));
         } else if (kind == "recover-all") {
             scenario.recoverAll(at, step.numberAt("stagger", 0.0));
         } else {
@@ -384,10 +422,19 @@ ServeDaemon::cmdInjectScenario(const util::JsonValue &command)
     }
 
     sim::ScenarioOptions options;
-    options.seed = static_cast<uint64_t>(
-        command.numberAt("seed", static_cast<double>(config_.seed)));
-    options.zoneCount = static_cast<size_t>(command.numberAt(
-        "zones", static_cast<double>(options.zoneCount)));
+    options.seed = config_.seed;
+    if (command.field("seed")) {
+        // 2^53: past it a double no longer holds every integer.
+        const double seed = command.numberAt("seed", -1.0);
+        if (!isIntegerIn(seed, 0.0, 9007199254740992.0))
+            return errorReply("inject-scenario needs an integer 'seed'");
+        options.seed = static_cast<uint64_t>(seed);
+    }
+    const double zones = command.numberAt(
+        "zones", static_cast<double>(options.zoneCount));
+    if (!isIntegerIn(zones, 0.0, kMaxId))
+        return errorReply("inject-scenario needs an integer 'zones'");
+    options.zoneCount = static_cast<size_t>(zones);
     runners_.push_back(std::make_unique<sim::ScenarioRunner>(
         events_, cluster_, std::move(scenario), options));
     std::ostringstream out;
@@ -450,28 +497,41 @@ ServeDaemon::cmdPodVerb(const std::string &verb,
 {
     const util::JsonValue *app = command.field("app");
     const util::JsonValue *ms = command.field("ms");
-    if (!app || !app->isNumber() || !ms || !ms->isNumber())
-        return errorReply(verb + " needs numeric 'app' and 'ms'");
+    const double replica = command.numberAt("replica", 0.0);
+    if (!app || !app->isNumber() || !ms || !ms->isNumber() ||
+        !isIntegerIn(app->number, 0.0, kMaxId) ||
+        !isIntegerIn(ms->number, 0.0, kMaxId) ||
+        !isIntegerIn(replica, 0.0, kMaxId))
+        return errorReply(verb + " needs integer 'app', 'ms' and "
+                                 "'replica' ids");
     sim::PodRef ref;
     ref.app = static_cast<sim::AppId>(app->number);
     ref.ms = static_cast<sim::MsId>(ms->number);
-    ref.replica =
-        static_cast<uint32_t>(command.numberAt("replica", 0.0));
+    ref.replica = static_cast<uint32_t>(replica);
     if (!cluster_.pod(ref))
         return errorReply("no such pod");
+
+    // restart-pod takes an optional pin, migrate-pod a required
+    // target; either must name an existing node.
+    const util::JsonValue *node =
+        verb == "delete-pod" ? nullptr : command.field("node");
+    if (verb == "migrate-pod" && !node)
+        return errorReply("migrate-pod needs a 'node'");
+    const double last_node =
+        static_cast<double>(cluster_.nodeCount()) - 1.0;
+    if (node &&
+        !(node->isNumber() && isIntegerIn(node->number, 0.0, last_node)))
+        return errorReply(verb + " needs an integer 'node' below the "
+                                 "node count");
 
     if (verb == "delete-pod") {
         cluster_.deletePod(ref);
     } else if (verb == "restart-pod") {
         std::optional<sim::NodeId> pinned;
-        const util::JsonValue *node = command.field("node");
-        if (node && node->isNumber())
+        if (node)
             pinned = static_cast<sim::NodeId>(node->number);
         cluster_.startPod(ref, pinned);
     } else { // migrate-pod
-        const util::JsonValue *node = command.field("node");
-        if (!node || !node->isNumber())
-            return errorReply("migrate-pod needs a numeric 'node'");
         cluster_.migratePod(ref,
                             static_cast<sim::NodeId>(node->number));
     }

@@ -60,6 +60,7 @@ class JsonParser
     parse(JsonValue &out)
     {
         pos_ = 0;
+        depth_ = 0;
         if (!value(out))
             return false;
         skipSpace();
@@ -93,9 +94,15 @@ class JsonParser
             return false;
         switch (text_[pos_]) {
         case '{':
-            return object(out);
-        case '[':
-            return array(out);
+        case '[': {
+            if (depth_ == kMaxJsonDepth)
+                return false;
+            ++depth_;
+            const bool ok =
+                text_[pos_] == '{' ? object(out) : array(out);
+            --depth_;
+            return ok;
+        }
         case '"':
             out.kind = JsonValue::Kind::String;
             return string(out.text);
@@ -241,6 +248,7 @@ class JsonParser
 
     const std::string &text_;
     size_t pos_ = 0;
+    size_t depth_ = 0; //!< open arrays/objects around pos_
 };
 
 } // namespace

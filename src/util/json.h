@@ -12,6 +12,7 @@
 #ifndef PHOENIX_UTIL_JSON_H
 #define PHOENIX_UTIL_JSON_H
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -48,8 +49,16 @@ struct JsonValue
 };
 
 /**
- * Parse @p text into @p out. Returns false on malformed input or
- * trailing garbage.
+ * Deepest array/object nesting parseJson() accepts. The parser
+ * recurses once per level, so the bound keeps hostile input from
+ * overflowing the stack; the repo's own documents nest a handful of
+ * levels deep.
+ */
+constexpr size_t kMaxJsonDepth = 256;
+
+/**
+ * Parse @p text into @p out. Returns false on malformed input,
+ * nesting deeper than kMaxJsonDepth, or trailing garbage.
  */
 bool parseJson(const std::string &text, JsonValue &out);
 

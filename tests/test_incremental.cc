@@ -1,7 +1,7 @@
 /**
  * @file
  * Delta-bookkeeping tests for incremental replanning: a long-lived
- * PhoenixScheme with the incremental + sharded options enabled, fed by
+ * PhoenixScheme with the incremental options enabled, fed by
  * KubeCluster's dirty-node tracking across realistic failure
  * histories, must produce output bit-identical to a from-scratch
  * scheme applied to the same observed state at every epoch.
@@ -106,10 +106,8 @@ makeWarm(Objective objective)
 {
     PlannerOptions planner_opts;
     planner_opts.incremental = true;
-    planner_opts.shardCount = 2;
     PackingOptions packing_opts;
     packing_opts.incremental = true;
-    packing_opts.zoneShards = 3;
     return PhoenixScheme(objective, planner_opts, packing_opts);
 }
 
@@ -165,7 +163,7 @@ TEST(Incremental, ConstrainedZoneFailRecoverDoesNotDrift)
 {
     // Explicit zones + placement policies: a full zone failing and
     // recovering must not drift constrained placements between the
-    // warm (incremental + sharded) scheme and a cold one — the
+    // warm (incremental) scheme and a cold one — the
     // vacancy allocator rebuilds per epoch, but the capacity index it
     // filters is the carried-over incremental one.
     sim::EventQueue events;

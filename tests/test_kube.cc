@@ -169,6 +169,13 @@ TEST(Kube, PinnedPlacementHonoursTarget)
     events.runUntil(60.0);
     EXPECT_EQ(cluster.runningPods().size(), 0u); // nothing schedules
 
+    // A pin at or past the node count is not stored: the scheduler
+    // would index past the node table once the pod is Pending.
+    for (const sim::NodeId bad : {n1 + 1, static_cast<sim::NodeId>(-1)}) {
+        cluster.startPod(PodRef{0, 0}, bad);
+        EXPECT_FALSE(cluster.pod(PodRef{0, 0})->pinnedNode) << bad;
+    }
+
     cluster.startPod(PodRef{0, 0}, n1);
     events.runUntil(events.now() + 120.0);
     ASSERT_EQ(cluster.runningPods().size(), 1u);

@@ -514,6 +514,64 @@ TEST(ServeDaemon, RejectsMalformedCommands)
     // serve-start before any testbed/manifest is an error, not a crash.
     auto early = reply(daemon, R"({"cmd":"serve-start"})");
     EXPECT_FALSE(okOf(early));
+
+    // Nesting deep enough to overflow a recursive parser's stack.
+    EXPECT_FALSE(okOf(reply(daemon, std::string(200000, '['))));
+
+    // add-nodes: the count is checked before it is cast.
+    for (const char *count : {"-1", "0", "1.5", "1e300", "1000001"}) {
+        auto added = reply(
+            daemon,
+            std::string(R"({"cmd":"add-nodes","count":)") + count + "}");
+        EXPECT_FALSE(okOf(added)) << "count " << count;
+    }
+    EXPECT_EQ(daemon.cluster().nodeCount(), 0u);
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"add-nodes","count":2})")));
+    EXPECT_EQ(daemon.cluster().nodeCount(), 2u);
+
+    // Pod verbs: a target node must exist.
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"load-testbed"})")));
+    const std::string pod = R"("app":0,"ms":0,"node":)";
+    const std::string last =
+        std::to_string(daemon.cluster().nodeCount() - 1);
+    const std::string past =
+        std::to_string(daemon.cluster().nodeCount());
+    for (const char *verb : {"migrate-pod", "restart-pod"}) {
+        const std::string head =
+            std::string(R"({"cmd":")") + verb + "\"," + pod;
+        EXPECT_TRUE(okOf(reply(daemon, head + last + "}"))) << verb;
+        for (const std::string &node :
+             {past, std::string("4294967295"), std::string("-1"),
+              std::string("0.5"), std::string("\"x\"")}) {
+            EXPECT_FALSE(okOf(reply(daemon, head + node + "}")))
+                << verb << " node " << node;
+        }
+    }
+    // inject-scenario: node ids, counts and zones are range-checked
+    // when the scenario is injected, not when a step fires.
+    for (const std::string &step :
+         {std::string(R"({"kind":"fail-nodes","nodes":[4294967295]})"),
+          std::string(R"({"kind":"recover-nodes","nodes":[-1]})"),
+          R"({"kind":"flap","node":)" + past + "}",
+          std::string(R"({"kind":"fail-count","count":-1})"),
+          std::string(R"({"kind":"rolling-fail","count":1e300})"),
+          std::string(R"({"kind":"fail-zone","zone":0.5})")}) {
+        EXPECT_FALSE(okOf(reply(
+            daemon, R"({"cmd":"inject-scenario","steps":[)" +
+                        step + "]}")))
+            << step;
+    }
+    EXPECT_FALSE(okOf(reply(
+        daemon, R"({"cmd":"inject-scenario","seed":-1,"steps":[)"
+                R"({"kind":"recover-all"}]})")));
+    EXPECT_TRUE(okOf(reply(daemon, R"({"cmd":"advance","seconds":5})")));
+    EXPECT_FALSE(okOf(reply(daemon, R"({"cmd":"start-controller",)"
+                                    R"("forecast":true,"zones":-1})")));
+    EXPECT_FALSE(okOf(reply(
+        daemon, R"({"cmd":"delete-pod","app":-1,"ms":0})")));
+    EXPECT_FALSE(okOf(reply(
+        daemon,
+        R"({"cmd":"delete-pod","app":0,"ms":0,"replica":1e300})")));
 }
 
 TEST(ServeDaemon, ReplStopsOnShutdown)

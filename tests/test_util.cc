@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the utility layer: RNG determinism and distribution sanity,
- * statistics helpers, the sorted key/value container, and table output.
+ * statistics helpers, the sorted key/value container, table output,
+ * and the JSON parser's nesting bound.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "util/bucketed_kv.h"
 #include "util/heap.h"
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/sorted_kv.h"
 #include "util/stats.h"
@@ -494,4 +496,17 @@ TEST(Table, AlignedOutputAndCsv)
     EXPECT_EQ(csv.str(),
               "scheme,availability\nPhoenixFair,0.91\nDefault,0.40\n");
     EXPECT_EQ(table.rowCount(), 2u);
+}
+
+TEST(Json, NestingBeyondMaxDepthFailsToParse)
+{
+    const auto nested = [](size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    JsonValue value;
+    EXPECT_TRUE(parseJson(nested(kMaxJsonDepth), value));
+    EXPECT_FALSE(parseJson(nested(kMaxJsonDepth + 1), value));
+    // Deep enough to overflow the stack of an unbounded recursive
+    // parser: rejected like any other malformed input.
+    EXPECT_FALSE(parseJson(std::string(200000, '['), value));
 }
